@@ -29,6 +29,8 @@ produced them.
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -58,6 +60,23 @@ __all__ = ["CATALOG", "replicate", "compare", "sweep", "scenarios",
 ScenarioSpec = Union[str, Dict[str, Any]]
 #: A seeds spec: a count N (meaning ``range(N)``) or explicit seeds.
 SeedsSpec = Union[int, Sequence[int]]
+
+
+#: One open store per directory for the whole process.  Its index
+#: follows the journal's tail, so a reused cache still sees cells that
+#: other caches and processes store, and threads share its single-flight
+#: map instead of racing on the same missing cells.
+_CACHES: Dict[str, RunCache] = {}
+_CACHES_LOCK = threading.Lock()
+
+
+def _cache(cache_dir: str) -> RunCache:
+    root = os.path.abspath(cache_dir)
+    with _CACHES_LOCK:
+        cache = _CACHES.get(root)
+        if cache is None:
+            cache = _CACHES[root] = RunCache(root)
+        return cache
 
 
 def _seeds(raw: SeedsSpec) -> List[int]:
@@ -101,7 +120,7 @@ def replicate(
     with _traced(trace, "api.replicate", scenario=resolved.name,
                  seeds=len(seed_list), cache=cache):
         if cache:
-            return RunCache(cache_dir).replicate(
+            return _cache(cache_dir).replicate(
                 resolved, seed_list, workers=workers, backend=backend
             )
         histories = _replicate_histories(
@@ -128,7 +147,7 @@ def compare(
     with _traced(trace, "api.compare", a=scenario_a.name,
                  b=scenario_b.name, seeds=len(seed_list), cache=cache):
         if cache:
-            return RunCache(cache_dir).compare_scenarios(
+            return _cache(cache_dir).compare_scenarios(
                 scenario_a, scenario_b, seed_list, workers=workers,
                 backend=backend,
             )
@@ -170,7 +189,7 @@ def sweep(
     with _traced(trace, "api.sweep", parameter=parameter,
                  points=len(chosen), seeds=len(seed_list), cache=cache):
         if cache:
-            return RunCache(cache_dir).run_sweep(
+            return _cache(cache_dir).run_sweep(
                 parameter, chosen, factory, seeds=seed_list,
                 label_fn=label_fn, workers=workers, backend=backend,
             )

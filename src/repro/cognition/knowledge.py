@@ -261,7 +261,8 @@ class KnowledgeVector:
         Used to score how well a member (or a pooled team vector)
         covers a challenge's required domains.
         """
-        req = list(required)
+        # Sorted, so a set's hash order cannot change the float sum.
+        req = sorted(required)
         if not req:
             return 0.0
         return sum(self[d] for d in req) / len(req)

@@ -7,7 +7,10 @@ SSE streams.  This module serves the *same*
 
 * **Transport** — hand-rolled HTTP/1.1 over ``asyncio.start_server``:
   request line + headers via ``readuntil``, body via ``readexactly``,
-  persistent connections by default (``Connection: close`` honoured).
+  persistent HTTP/1.1 connections by default (``Connection: close``
+  honoured; HTTP/1.0 closes unless it asks for keep-alive).  Only
+  ``Content-Length`` bodies are framed: ``Transfer-Encoding`` requests
+  get 501 and conflicting lengths 400, each closing the connection.
 * **Dispatch** — endpoint logic still touches the scheduler's lock and
   can momentarily block, so every :meth:`ServiceAPI.dispatch` runs on
   a small thread pool (``run_in_executor``); the loop itself never
@@ -86,7 +89,14 @@ _HEARTBEAT_S = 10.0
 
 
 class _BadRequest(Exception):
-    """Unparseable request; answered 400 and the connection closed."""
+    """Unframeable request; answered with ``status`` and the connection
+    closed, so no byte of it is ever read as the next request."""
+
+    def __init__(self, message: str, status: int = 400,
+                 code: str = "bad_request") -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
 
 
 def _status_line(status: int) -> bytes:
@@ -209,19 +219,16 @@ class AsyncReproServiceServer:
                     return
                 except _BadRequest as exc:
                     await self._write_response(writer, Response(
-                        400,
+                        exc.status,
                         json.dumps(error_payload(
-                            "bad_request", str(exc)
+                            exc.code, str(exc)
                         )).encode("utf-8"),
                     ), keep_alive=False)
                     return
                 if request is None:  # clean EOF between requests
                     return
-                method, target, headers, body = request
+                method, target, headers, body, keep_alive = request
                 _REQUESTS.inc()
-                keep_alive = (
-                    headers.get("connection", "").lower() != "close"
-                )
                 loop = asyncio.get_running_loop()
                 outcome = await loop.run_in_executor(
                     self._executor, self.api.dispatch,
@@ -247,8 +254,17 @@ class AsyncReproServiceServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one request; None on clean EOF before the first byte."""
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes, bool]]:
+        """Parse one request; None on clean EOF before the first byte.
+
+        Returns ``(method, target, headers, body, keep_alive)``.  Only a
+        ``Content-Length`` body is framed: a request carrying
+        ``Transfer-Encoding`` is refused with 501 and conflicting
+        ``Content-Length`` values with 400, both before any body byte
+        is read.  HTTP/1.1 keeps the connection open unless the request
+        says ``Connection: close``; HTTP/1.0 closes it unless the
+        request says ``Connection: keep-alive``.
+        """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
@@ -268,15 +284,29 @@ class AsyncReproServiceServer:
         if not version.startswith("HTTP/1."):
             raise _BadRequest(f"unsupported protocol {version!r}")
         headers: Dict[str, str] = {}
+        lengths = set()
         for line in lines[1:]:
             if not line:
                 continue
             name, sep, value = line.partition(":")
             if not sep:
                 raise _BadRequest(f"malformed header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            headers[name] = value.strip()
+            if name == "content-length":
+                lengths.update(v.strip() for v in value.split(","))
+        if "transfer-encoding" in headers:
+            raise _BadRequest(
+                "request Transfer-Encoding is not supported; "
+                "send a Content-Length body",
+                status=501, code="not_implemented",
+            )
+        if len(lengths) > 1:
+            raise _BadRequest(
+                f"conflicting Content-Length values {sorted(lengths)}"
+            )
         body = b""
-        raw_length = headers.get("content-length", "0")
+        raw_length = lengths.pop() if lengths else "0"
         try:
             length = int(raw_length)
         except ValueError:
@@ -287,7 +317,12 @@ class AsyncReproServiceServer:
             raise _BadRequest("invalid or oversized Content-Length")
         if length:
             body = await reader.readexactly(length)
-        return method.upper(), target, headers, body
+        connection = headers.get("connection", "").lower()
+        if version == "HTTP/1.0":
+            keep_alive = connection == "keep-alive"
+        else:
+            keep_alive = connection != "close"
+        return method.upper(), target, headers, body, keep_alive
 
     # -- writers ----------------------------------------------------------
 

@@ -34,7 +34,7 @@ from repro.simulation.experiment import (
 )
 from repro.simulation.scenario import Scenario
 from repro.simulation.sweep import SweepResult, sweep_from_metrics
-from repro.store.fingerprint import canonical_json, scenario_fingerprint
+from repro.store.fingerprint import canonical_json, scenario_fingerprints
 
 __all__ = [
     "CATALOG",
@@ -128,7 +128,8 @@ class JobPlan:
 
 def _plan_key(kind: str, scenarios: Sequence[Scenario],
               extra: Dict[str, Any]) -> str:
-    cells = [[scenario_fingerprint(s), s.seed] for s in scenarios]
+    cells = [[fingerprint, s.seed] for fingerprint, s
+             in zip(scenario_fingerprints(scenarios), scenarios)]
     blob = canonical_json({"kind": kind, "cells": cells, "extra": extra})
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 

@@ -27,6 +27,8 @@ status    code                  meaning
 429       ``queue_full``        backpressure; ``Retry-After`` header
                                 and ``detail.retry_after_s`` carry the
                                 suggested delay
+501       ``not_implemented``   request ``Transfer-Encoding``; only
+                                ``Content-Length`` bodies are framed
 ========  ====================  =====================================
 
 **Content negotiation.**  JSON endpoints answer 406 when an ``Accept``

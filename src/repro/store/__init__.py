@@ -6,7 +6,8 @@ turns that into infrastructure:
 
 * :mod:`repro.store.fingerprint` — canonical scenario hashing.
 * :mod:`repro.store.blobstore` — sharded, atomic, gzip'd object store.
-* :mod:`repro.store.index` — JSONL manifest with hit accounting.
+* :mod:`repro.store.index` — JSONL manifest with hit accounting,
+  followed incrementally from its journal's tail.
 * :mod:`repro.store.runcache` — memoized ``replicate`` /
   ``compare_scenarios`` / ``run_sweep`` with resumable sweeps.
 
@@ -24,6 +25,7 @@ from repro.store.fingerprint import (
     canonical_json,
     config_fingerprint,
     scenario_fingerprint,
+    scenario_fingerprints,
     scenario_payload,
     scenario_summary,
 )
@@ -42,6 +44,7 @@ __all__ = [
     "canonical_json",
     "config_fingerprint",
     "scenario_fingerprint",
+    "scenario_fingerprints",
     "scenario_payload",
     "scenario_summary",
 ]

@@ -31,6 +31,7 @@ from repro.store.fingerprint import canonical_json
 __all__ = ["BlobStats", "BlobStore"]
 
 _TMP_PREFIX = ".tmp-"
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 _READS = REGISTRY.counter(
     "store_blob_reads_total",
@@ -83,7 +84,7 @@ class BlobStore:
         return hashlib.sha256(data).hexdigest()
 
     def _path(self, key: str) -> Path:
-        if len(key) < 3 or not all(c in "0123456789abcdef" for c in key):
+        if len(key) < 3 or not _HEX_DIGITS.issuperset(key):
             raise ConfigurationError(f"malformed blob key {key!r}")
         return self.objects_dir / key[:2] / key[2:]
 

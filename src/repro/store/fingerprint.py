@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
-from typing import Any, Dict, Mapping
+from dataclasses import asdict, fields
+from typing import Any, Dict, Iterable, List, Mapping
 
 from repro.simulation.scenario import Scenario
 
@@ -26,6 +26,7 @@ __all__ = [
     "config_fingerprint",
     "scenario_payload",
     "scenario_fingerprint",
+    "scenario_fingerprints",
     "scenario_summary",
 ]
 
@@ -70,6 +71,30 @@ def scenario_payload(scenario: Scenario) -> Dict[str, Any]:
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Stable content hash identifying a scenario across processes."""
     return config_fingerprint(scenario_payload(scenario))
+
+
+def scenario_fingerprints(scenarios: Iterable[Scenario]) -> List[str]:
+    """:func:`scenario_fingerprint` of each scenario, in order.
+
+    A replicate family differs only by seed, so each distinct seed-free
+    scenario is hashed once per call.  The memo key is the ``repr`` of
+    every field but the seed, which tells apart values that compare
+    equal but serialize differently (``1`` vs ``1.0``, ``True`` vs
+    ``1``).
+    """
+    memo: Dict[Any, str] = {}
+    fingerprints = []
+    for scenario in scenarios:
+        key = type(scenario), repr([
+            getattr(scenario, f.name)
+            for f in fields(scenario)
+            if f.name != "seed"
+        ])
+        fingerprint = memo.get(key)
+        if fingerprint is None:
+            fingerprint = memo[key] = scenario_fingerprint(scenario)
+        fingerprints.append(fingerprint)
+    return fingerprints
 
 
 def scenario_summary(scenario: Scenario) -> Dict[str, Any]:

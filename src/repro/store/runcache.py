@@ -56,7 +56,7 @@ from repro.simulation.runner import LongitudinalRunner
 from repro.simulation.scenario import Scenario
 from repro.simulation.sweep import SweepResult, sweep_from_metrics
 from repro.store.blobstore import BlobStore
-from repro.store.fingerprint import scenario_fingerprint, scenario_summary
+from repro.store.fingerprint import scenario_fingerprints, scenario_summary
 from repro.store.index import RunIndex
 
 __all__ = ["CacheStats", "RunCache"]
@@ -198,7 +198,8 @@ class RunCache:
         # in worker processes — collapsing it to serial would run them
         # in the server itself.
         with span("store.fetch", cells=len(scenarios), workers=workers):
-            fingerprints = [scenario_fingerprint(s) for s in scenarios]
+            fingerprints = scenario_fingerprints(scenarios)
+            self.index.refresh()  # other writers' cells become hits
             metrics: List[Optional[Dict[str, float]]] = (
                 [None] * len(scenarios)
             )
@@ -543,6 +544,7 @@ class RunCache:
     # -- maintenance ------------------------------------------------------
 
     def stats(self) -> CacheStats:
+        self.index.refresh()
         index_stats = self.index.stats()
         blob_stats = self.blobs.stats()
         return CacheStats(
@@ -559,6 +561,7 @@ class RunCache:
 
         Returns ``{"blobs_removed": ..., "runs_dropped": ...}``.
         """
+        self.index.refresh()
         referenced = self.index.referenced_blobs()
         blobs_removed = self.blobs.gc(keep=referenced)
         dead = {key for key in referenced if not self.blobs.has(key)}

@@ -1,7 +1,9 @@
 """Tests for the unified public facade (repro.api)."""
 
 import json
+import shutil
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +20,15 @@ from repro.simulation import (
     run_sweep,
 )
 from repro.simulation.experiment import extract_metrics, replicate
-from repro.store import RunCache
+from repro.store import RunCache, RunIndex
 
 from test_service import quick_factory
 
 SEEDS = [0, 1]
+
+#: A store written by the earlier, replay-on-open index: a compacted
+#: snapshot, then hit and store lines (hackathon/traditional, seeds 0-2).
+STORE_V1 = Path(__file__).resolve().parent / "data" / "store_v1"
 
 
 @pytest.fixture
@@ -122,6 +128,80 @@ class TestEquivalence:
             api.replicate("hackathon", seeds=0)
         with pytest.raises(ConfigurationError):
             api.sweep("no-such-parameter", seeds=1)
+
+
+# ---------------------------------------------------------------------------
+# the facade's run store
+
+
+class TestFacadeStore:
+    """``cache=True`` keeps one open store per directory per process."""
+
+    def test_store_written_by_earlier_index_is_all_hits(self, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(STORE_V1, store)
+        before = RunCache(store).stats()
+        served = api.compare("hackathon", "traditional", seeds=3,
+                             cache=True, cache_dir=store)
+        after = RunCache(store).stats()
+        assert after.misses_recorded == before.misses_recorded == 6
+        assert after.hits_recorded - before.hits_recorded == 6
+        fresh = api.compare("hackathon", "traditional", seeds=3)
+        assert served.metrics_a == fresh.metrics_a
+        assert served.metrics_b == fresh.metrics_b
+
+    def test_one_cache_per_directory(self, tmp_path, monkeypatch):
+        opened = []
+
+        class Spy(RunCache):
+            def __init__(self, root, *args, **kwargs):
+                opened.append(root)
+                super().__init__(root, *args, **kwargs)
+
+        monkeypatch.setattr(api, "RunCache", Spy)
+        store = tmp_path / "store"
+        shutil.copytree(STORE_V1, store)
+        for _ in range(3):
+            api.compare("hackathon", "traditional", seeds=2, cache=True,
+                        cache_dir=store)
+        api.replicate("hackathon", seeds=[2], cache=True,
+                      cache_dir=str(store) + "/.")
+        assert opened == [str(store)]
+
+    def test_nth_warm_call_applies_only_its_own_records(
+        self, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "store"
+        api.compare("hackathon", "traditional", seeds=5, cache=True,
+                    cache_dir=store)
+        applied = []
+        original = RunIndex._apply
+
+        def spy(self, record):
+            applied.append(record["event"])
+            return original(self, record)
+
+        monkeypatch.setattr(RunIndex, "_apply", spy)
+        for _ in range(6):
+            applied.clear()
+            api.compare("hackathon", "traditional", seeds=5, cache=True,
+                        cache_dir=store)
+            assert applied == ["hit"] * 10
+
+    def test_removed_store_directory_is_recreated(self, tmp_path):
+        store = tmp_path / "store"
+        first = api.compare("hackathon", "traditional", seeds=1,
+                            cache=True, cache_dir=store)
+        shutil.rmtree(store)
+        again = api.compare("hackathon", "traditional", seeds=1,
+                            cache=True, cache_dir=store)
+        assert again.metrics_a == first.metrics_a
+        stats = RunCache(store).stats()
+        assert (stats.runs, stats.misses_recorded, stats.hits_recorded) \
+            == (2, 2, 0)
+        api.compare("hackathon", "traditional", seeds=1, cache=True,
+                    cache_dir=store)
+        assert RunCache(store).stats().hits_recorded == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
 """Integration tests: determinism and cross-module consistency."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.consortium.presets import small_consortium
@@ -43,6 +49,31 @@ class TestDeterminism:
         a = extract_metrics(small_runner(megamart_timeline(seed=1)).run())
         b = extract_metrics(small_runner(megamart_timeline(seed=2)).run())
         assert a != b
+
+
+    def test_kpis_independent_of_hash_seed(self):
+        """Two processes with different ``PYTHONHASHSEED`` agree to the
+        bit.  This cell once differed in its last ``review_score`` bit:
+        a challenge's domains are a frozenset, and summing proficiency
+        over them in hash order changed the rounding."""
+        script = (
+            "import json\n"
+            "from repro.registry import CATALOG\n"
+            "from repro.simulation.experiment import extract_metrics\n"
+            "from repro.simulation.runner import LongitudinalRunner\n"
+            "s = CATALOG.resolve('interleaved', seed=95922945)\n"
+            "print(json.dumps(extract_metrics(LongitudinalRunner(s).run()),"
+            " sort_keys=True))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for hash_seed in ("0", "4"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 check=True, capture_output=True,
+                                 text=True, timeout=300).stdout
+            runs.append(json.loads(out))
+        assert runs[0] == runs[1]
 
 
 class TestCrossModuleConsistency:

@@ -3,6 +3,7 @@ v1 error envelope and the chaos harness's failure paths."""
 
 import asyncio
 import json
+import socket
 import time
 import urllib.request
 import warnings
@@ -69,6 +70,107 @@ def _raw(client, method, path, headers=None, body=None):
             return response.status, dict(response.headers), response.read()
     except urllib.error.HTTPError as exc:
         return exc.code, dict(exc.headers), exc.read()
+
+
+def _connect(client):
+    port = int(client.base_url.rsplit(":", 1)[1])
+    sock = socket.create_connection(("127.0.0.1", port), timeout=15)
+    return sock, sock.makefile("rb")
+
+
+def _read_response(stream):
+    """One response off a raw socket: (status, lower-cased headers, body)."""
+    status_line = stream.readline()
+    assert status_line, "connection closed before a response"
+    status = int(status_line.split()[1])
+    headers = {}
+    while True:
+        line = stream.readline().decode("latin-1").strip()
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers.get("content-length", "0")))
+    return status, headers, body
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+# -- request framing on keep-alive connections ------------------------------
+
+
+class TestFraming:
+    """Requests the server cannot frame are refused and the connection
+    closed, so no body byte is ever parsed as the next request."""
+
+    def test_transfer_encoding_gets_501_and_close(self, async_service):
+        sock, stream = _connect(async_service)
+        with sock, stream:
+            sock.sendall(_HEALTHZ)
+            assert _read_response(stream)[0] == 200
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"49\r\n" + b"x" * 0x49 + b"\r\n0\r\n\r\n" + _HEALTHZ
+            )
+            status, headers, body = _read_response(stream)
+            assert status == 501
+            assert headers["connection"] == "close"
+            assert json.loads(body)["error"]["code"] == "not_implemented"
+            assert stream.read() == b""  # closed: nothing else answered
+
+    def test_conflicting_content_length_gets_400_and_close(
+        self, async_service
+    ):
+        sock, stream = _connect(async_service)
+        with sock, stream:
+            sock.sendall(_HEALTHZ)
+            assert _read_response(stream)[0] == 200
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 2\r\nContent-Length: 40\r\n\r\n"
+                b"{}" + _HEALTHZ
+            )
+            status, headers, body = _read_response(stream)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert "Content-Length" in json.loads(body)["error"]["message"]
+            assert stream.read() == b""
+
+    def test_repeated_equal_content_length_is_framed(self, async_service):
+        sock, stream = _connect(async_service)
+        with sock, stream:
+            sock.sendall(
+                b"POST /healthz HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 2\r\nContent-Length: 2\r\n\r\n{}"
+                + _HEALTHZ
+            )
+            status, headers, _ = _read_response(stream)
+            assert status == 405  # framed and dispatched, not refused
+            assert headers["connection"] == "keep-alive"
+            assert _read_response(stream)[0] == 200
+
+    def test_http10_closes_by_default(self, async_service):
+        sock, stream = _connect(async_service)
+        with sock, stream:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n" + _HEALTHZ)
+            status, headers, _ = _read_response(stream)
+            assert status == 200
+            assert headers["connection"] == "close"
+            assert stream.read() == b""
+
+    def test_http10_keep_alive_on_request(self, async_service):
+        sock, stream = _connect(async_service)
+        with sock, stream:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n"
+                         b"Connection: keep-alive\r\n\r\n")
+            status, headers, _ = _read_response(stream)
+            assert status == 200
+            assert headers["connection"] == "keep-alive"
+            sock.sendall(_HEALTHZ)
+            assert _read_response(stream)[0] == 200
 
 
 # -- streaming order and delivery -----------------------------------------

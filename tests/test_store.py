@@ -1,7 +1,12 @@
 """Tests for the content-addressed run store (repro.store)."""
 
+import dataclasses
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +27,11 @@ from repro.store import (
     RunIndex,
     config_fingerprint,
     scenario_fingerprint,
+    scenario_fingerprints,
     scenario_summary,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def tiny_timeline(seed=0, cadence=6.0, session_hours=4.0):
@@ -87,6 +95,46 @@ class TestFingerprint:
         before = scenario_fingerprint(megamart_timeline())
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         assert scenario_fingerprint(megamart_timeline()) != before
+
+    # Fingerprints written by earlier releases of the store index; they
+    # key every existing store, so they must never drift silently (a
+    # deliberate model-version bump is the one sanctioned change).
+    @pytest.mark.parametrize("name, expected", [
+        ("hackathon",
+         "6d88d1941ce8a4d647456424b1a31271ab21c586401556ca0a3998cb398bf24e"),
+        ("traditional",
+         "e4b1494bbf61a0619d839985f533af109dd8311ecb95ce8e08d54c0a2ca7caf0"),
+        ("interleaved",
+         "9c715b7c77aa3177906368fc779766fc36a53cabc4c0d407f0e8ca14ca8beb66"),
+        ("virtual",
+         "690fa0881c9305a326ae7566dcda8fec30e225549f040491a8eab825b90f0eee"),
+        ("hackathon-everywhere",
+         "3e6fc81e17a6db463767985a61026380136dc8ed6f7dbcd02bc9bb1e2b6b8a2d"),
+    ])
+    def test_builtin_fingerprints_pinned(self, name, expected):
+        from repro.registry import CATALOG
+
+        scenario = CATALOG.resolve(name, seed=4)
+        assert scenario_fingerprint(scenario) == expected
+        assert scenario_fingerprints([scenario]) == [expected]
+
+    def test_fingerprints_helper_matches_one_by_one(self):
+        as_int = tiny_timeline(cadence=6)
+        as_float = tiny_timeline(cadence=6.0)
+        as_bool = dataclasses.replace(as_int, followup_enabled=True)
+        as_one = dataclasses.replace(as_int, followup_enabled=1)
+        assert as_int == as_float and as_bool == as_one  # equal, yet ...
+        scenarios = (
+            [megamart_timeline(seed) for seed in range(4)]
+            + [as_int, as_float, as_bool, as_one, baseline_timeline(3)]
+            + [as_float.with_seed(7), as_int.with_seed(7)]
+        )
+        expected = [scenario_fingerprint(s) for s in scenarios]
+        assert scenario_fingerprints(scenarios) == expected
+        # ... they serialize differently, so they must not share a hash
+        assert len({expected[4], expected[5]}) == 2
+        assert len({expected[6], expected[7]}) == 2
+        assert scenario_fingerprints([]) == []
 
     def test_summary_is_json_serializable(self):
         summary = scenario_summary(megamart_timeline())
@@ -195,6 +243,103 @@ class TestRunIndex:
         reloaded = RunIndex(path)
         assert reloaded.stats().runs == 2
 
+    def test_torn_tail_does_not_swallow_next_record(self, tmp_path):
+        path = tmp_path / "index.jsonl"
+        index = RunIndex(path)
+        index.record_store("a" * 64, 1, "b" * 64, {"name": "x"})
+        with path.open("a") as fh:
+            fh.write('{"event":"sto')  # a writer died mid-line
+        index.record_store("b" * 64, 2, "c" * 64, {"name": "y"})
+        assert index.lookup("b" * 64, 2) == "c" * 64
+        reloaded = RunIndex(path)
+        assert reloaded.lookup("a" * 64, 1) == "b" * 64
+        assert reloaded.lookup("b" * 64, 2) == "c" * 64
+        lines = path.read_text().splitlines()
+        assert lines[1] == '{"event":"sto'  # the fragment stays one line
+        assert reloaded.stats().runs == 2
+
+    def test_unterminated_tail_waits_for_its_newline(self, tmp_path):
+        path = tmp_path / "index.jsonl"
+        index = RunIndex(path)
+        record = json.dumps({"event": "store", "fingerprint": "f" * 64,
+                             "seed": 1, "blob": "b" * 64, "ts": 1.0})
+        with path.open("a") as fh:
+            fh.write(record[:20])  # a concurrent writer, half visible
+        index.refresh()
+        assert index.lookup("f" * 64, 1) is None
+        with path.open("a") as fh:
+            fh.write(record[20:] + "\n")
+        index.refresh()
+        assert index.lookup("f" * 64, 1) == "b" * 64
+
+    def test_refresh_applies_only_new_records(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.jsonl"
+        writer = RunIndex(path)
+        for seed in range(20):
+            writer.record_store("f" * 64, seed, "b" * 64, {"name": "x"})
+        reader = RunIndex(path)
+        applied = []
+        original = RunIndex._apply
+
+        def spy(self, record):
+            applied.append(record["event"])
+            return original(self, record)
+
+        monkeypatch.setattr(RunIndex, "_apply", spy)
+        reader.refresh()
+        assert applied == []
+        writer.record_hits([("f" * 64, 0), ("f" * 64, 1)])
+        applied.clear()
+        reader.refresh()
+        assert applied == ["hit", "hit"]
+        assert reader.stats() == writer.stats()
+
+    def test_sees_records_of_another_writer(self, tmp_path):
+        path = tmp_path / "index.jsonl"
+        a, b = RunIndex(path), RunIndex(path)
+        a.record_store("a" * 64, 1, "b" * 64, {"name": "x"})
+        b.record_store("b" * 64, 2, "c" * 64, {"name": "y"})
+        assert b.lookup("a" * 64, 1) == "b" * 64  # b's append refreshed
+        assert a.lookup("b" * 64, 2) is None      # a has not looked yet
+        a.refresh()
+        assert a.lookup("b" * 64, 2) == "c" * 64
+        assert a.stats() == b.stats() == RunIndex(path).stats()
+
+    def test_follows_compaction_by_another_instance(self, tmp_path):
+        path = tmp_path / "index.jsonl"
+        a, b = RunIndex(path), RunIndex(path)
+        a.record_store("a" * 64, 1, "b" * 64, {"name": "x"})
+        a.record_hits([("a" * 64, 1)] * 3)
+        b.refresh()
+        b.compact()
+        b.record_store("b" * 64, 2, "c" * 64, {"name": "y"})
+        a.refresh()
+        assert a.lookup("a" * 64, 1) == "b" * 64
+        assert a.lookup("b" * 64, 2) == "c" * 64
+        assert a.stats() == b.stats() == RunIndex(path).stats()
+        assert a.stats().hits == 3
+
+    def test_follows_clear_by_another_instance(self, tmp_path):
+        path = tmp_path / "index.jsonl"
+        a, b = RunIndex(path), RunIndex(path)
+        for seed in range(3):
+            a.record_store("a" * 64, seed, "b" * 64, {"name": "x"})
+        b.clear()
+        a.refresh()
+        assert a.lookup("a" * 64, 0) is None
+        assert a.stats().runs == 0
+        # a new journal longer than the old one, possibly on its inode
+        for seed in range(3):
+            a.record_store("a" * 64, seed, "b" * 64, {"name": "x"})
+        b.clear()
+        for seed in range(10, 16):
+            b.record_store("c" * 64, seed, "d" * 64, {"name": "z"})
+        a.refresh()
+        assert a.lookup("a" * 64, 0) is None
+        assert a.lookup("c" * 64, 15) == "d" * 64
+        assert a.stats() == b.stats()
+        assert a.stats().runs == 6
+
     def test_compact_preserves_state(self, tmp_path):
         path = tmp_path / "index.jsonl"
         index = RunIndex(path)
@@ -270,6 +415,51 @@ class TestRunCache:
         second = reopened.replicate(tiny_timeline(), seeds=[0])
         assert factory.calls == 0
         assert first == second
+
+    def test_cell_stored_by_second_cache_is_a_hit(self, tmp_path):
+        factory = CountingFactory()
+        opened = RunCache(tmp_path, runner_factory=factory)
+        other = RunCache(tmp_path)
+        stored = other.replicate(tiny_timeline(), seeds=[0, 1])
+        served = opened.replicate(tiny_timeline(), seeds=[0, 1])
+        assert factory.calls == 0
+        assert served == stored
+        assert opened.session_hits == 2
+
+    def test_cell_stored_by_subprocess_is_a_hit(self, tmp_path):
+        factory = CountingFactory()
+        opened = RunCache(tmp_path, runner_factory=factory)
+        opened.replicate(tiny_timeline(), seeds=[0])
+        script = (
+            "import sys\n"
+            "from repro.simulation.scenario import PlenarySpec, Scenario\n"
+            "from repro.store import RunCache\n"
+            "s = Scenario(name='tiny', plenaries=(\n"
+            "    PlenarySpec('Rome', 0.0, 'traditional'),\n"
+            "    PlenarySpec('Helsinki', 6.0, 'hackathon',\n"
+            "                session_hours=4.0)), horizon_months=9.0)\n"
+            "RunCache(sys.argv[1]).replicate(s, seeds=[1, 2])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                       check=True, env=env, timeout=120)
+        served = opened.replicate(tiny_timeline(), seeds=[0, 1, 2])
+        assert factory.calls == 1  # only the cell of the first call
+        assert served == RunCache(tmp_path).replicate(
+            tiny_timeline(), seeds=[0, 1, 2])
+
+    def test_lookups_correct_after_gc_or_clear_elsewhere(self, tmp_path):
+        factory = CountingFactory()
+        opened = RunCache(tmp_path, runner_factory=factory)
+        first = opened.replicate(tiny_timeline(), seeds=[0, 1])
+        other = RunCache(tmp_path)
+        other.gc()  # compacts: the journal is a new file
+        assert opened.replicate(tiny_timeline(), seeds=[0, 1]) == first
+        assert factory.calls == 2
+        other.clear()
+        assert opened.replicate(tiny_timeline(), seeds=[0, 1]) == first
+        assert factory.calls == 4  # recomputed, not served from nothing
+        assert opened.stats().runs == 2
 
     def test_validation(self, tmp_path):
         cache = RunCache(tmp_path)
